@@ -63,8 +63,8 @@ def _kernel_source(with_barrier: bool) -> str:
 def _per_launch_seconds(source_text: str) -> float:
     program, diags = parse(SourceFile("bench.cu", source_text, Dialect.CUDA))
     assert not diags.has_errors, diags.render()
-    # One warm-up launch on the SAME runner compiles the kernel body to
-    # closures (they are cached per ProgramRunner), so the measured run is
+    # One warm-up launch on the SAME runner compiles the kernel body to a
+    # generated function (cached per ProgramRunner), so the measured run is
     # pure launch+execute.  The runner's profile accumulates across runs,
     # hence the +1 in the event-count assertion.
     runner = ProgramRunner(program, Dialect.CUDA)

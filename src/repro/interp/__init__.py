@@ -1,10 +1,11 @@
 """Deterministic interpreter for MiniCUDA / MiniOMP programs.
 
-Architecture (the fast-tree-walk idiom):
+Architecture:
 
-* :mod:`repro.interp.compiler` lowers the AST once into nested Python
-  closures — roughly 5-10x faster than re-walking dataclass nodes, which
-  matters because kernels execute thousands of simulated GPU threads.
+* :mod:`repro.interp.compiler` turns each function, kernel, OpenMP loop
+  nest and pragma body into the source text of one Python function and
+  compiles it, so a guest statement runs as inline Python with no call
+  per AST node — kernels execute thousands of simulated GPU threads.
 * :mod:`repro.interp.memory` provides NumPy-free list-backed buffers with
   bounds/space/use-after-free checking: guest bugs surface as the same
   runtime errors a real platform produces ("Segmentation fault", "CUDA

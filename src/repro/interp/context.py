@@ -1,4 +1,4 @@
-"""Execution context shared by compiled closures and the executor."""
+"""Execution context shared by generated code and the executor."""
 
 from __future__ import annotations
 
@@ -11,6 +11,11 @@ from repro.interp.memory import MemoryManager
 from repro.telemetry.log import get_logger
 
 logger = get_logger("interp")
+
+#: Deepest guest call chain before the run faults with a stack overflow.
+#: An explicit bound makes the fault (and the steps charged before it)
+#: independent of how deep the host Python stack already is.
+MAX_CALL_DEPTH = 200
 
 
 @dataclass(frozen=True)
@@ -32,7 +37,7 @@ class ExecContext:
     __slots__ = (
         "memory", "profile", "counters", "stdout_parts", "stdout_bytes",
         "space", "geom", "rand_state", "steps_left", "limits", "runner",
-        "exit_code",
+        "exit_code", "depth",
     )
 
     def __init__(self, limits: Optional[Limits] = None) -> None:
@@ -49,6 +54,7 @@ class ExecContext:
         self.steps_left = self.limits.max_steps
         self.runner = None  # back-reference set by ProgramRunner
         self.exit_code = 0
+        self.depth = 0  # live guest function calls
 
     # -- stdout ---------------------------------------------------------
     def write_stdout(self, text: str) -> None:

@@ -21,14 +21,7 @@ from repro.gpu.stats import (
     OpCounters,
     TransferEvent,
 )
-from repro.interp.compiler import (
-    BARRIER,
-    BREAK,
-    CONTINUE,
-    RETURN,
-    FunctionCompiler,
-    GuestExit,
-)
+from repro.interp.compiler import BARRIER, FunctionCompiler, GuestExit
 from repro.interp.context import ExecContext, Limits
 from repro.interp.memory import Buffer, ElemRef, MemoryManager, Pointer, ScalarRef
 from repro.interp.values import c_printf
@@ -116,25 +109,12 @@ class ProgramRunner:
         if fn_call is not None:
             return fn_call
         fc = self._compiler_for(name)
-        body = fc.compile_body()
-        fn_def = fc.fn
-        default = 0.0 if fn_def.return_type.is_real else (
-            None if fn_def.return_type.is_pointer else 0
-        )
-
         if fc.barrier_mode:
             raise InterpreterError(
                 f"kernel {name!r} with barriers must go through launch()"
             )
-
-        def call(env):
-            sig = body(env)
-            if isinstance(sig, tuple) and sig[0] == RETURN:
-                return sig[1]
-            return default
-
-        self._compiled[name] = call
-        return call
+        fn_call = self._compiled[name] = fc.compile_body()
+        return fn_call
 
     # ------------------------------------------------------------------
     # Program entry
@@ -863,10 +843,11 @@ class ProgramRunner:
         levels = []
         cur: ast.For = loop
         for level in range(collapse):
-            parts = self._canonical_parts(fc, cur)
+            parts = self._canonical_parts(cur)
             if parts is None:
                 break
             levels.append(parts)
+            body = cur.body
             if level + 1 < collapse:
                 nxt = self._sole_inner_for(cur.body)
                 if nxt is None:
@@ -881,43 +862,7 @@ class ProgramRunner:
                 return 1
             return run_generic
 
-        innermost_body = fc.compile_stmt(levels[-1][4])
-        ctx = self.ctx
-
-        def run_nest(env, depth=0):
-            var, start_c, cond_fn, bound_c, _body, delta_c = levels[depth]
-            i = start_c(env)
-            bound = bound_c(env)
-            delta = delta_c(env)
-            count = 0
-            if depth + 1 < len(levels):
-                while cond_fn(i, bound):
-                    ctx.steps_left -= 1
-                    if ctx.steps_left < 0:
-                        ctx.consume_steps(0)
-                    env[var] = i
-                    count += run_nest(env, depth + 1)
-                    i += delta
-            else:
-                while cond_fn(i, bound):
-                    ctx.steps_left -= 1
-                    if ctx.steps_left < 0:
-                        ctx.consume_steps(0)
-                    env[var] = i
-                    sig = innermost_body(env)
-                    if sig is not None and sig is not CONTINUE:
-                        if sig is BREAK:
-                            break
-                        # return inside an OpenMP loop is non-conforming;
-                        # stop iterating like a break.
-                        break
-                    count += 1
-                    i += delta
-            return count
-
-        def run(env):
-            return run_nest(env, 0)
-        return run
+        return fc.compile_nest(levels, body)
 
     def _sole_inner_for(self, body: ast.Stmt) -> Optional[ast.For]:
         if isinstance(body, ast.For):
@@ -928,22 +873,20 @@ class ProgramRunner:
                 return fors[0]
         return None
 
-    def _canonical_parts(self, fc: FunctionCompiler, loop: ast.For):
-        """Extract (var, start_c, cond_fn, bound_c, body_ast, delta_c)."""
-        import operator as _op
-
+    @staticmethod
+    def _canonical_parts(loop: ast.For):
+        """Extract (var, start, cmp_op, bound, step, sign) from a canonical
+        loop; ``step`` None means a step of ``sign``."""
         init = loop.init
         if isinstance(init, ast.VarDecl) and init.init is not None:
-            var = init.name
-            start_c = fc.compile_expr(init.init)
+            var, start = init.name, init.init
         elif (
             isinstance(init, ast.ExprStmt)
             and isinstance(init.expr, ast.Assign)
             and init.expr.op == "="
             and isinstance(init.expr.target, ast.Ident)
         ):
-            var = init.expr.target.name
-            start_c = fc.compile_expr(init.expr.value)
+            var, start = init.expr.target.name, init.expr.value
         else:
             return None
 
@@ -955,36 +898,27 @@ class ProgramRunner:
             and cond.left.name == var
         ):
             return None
-        cond_fn = {"<": _op.lt, "<=": _op.le, ">": _op.gt, ">=": _op.ge}[cond.op]
-        bound_c = fc.compile_expr(cond.right)
 
         step = loop.step
-        delta_c = None
+        parts = None
         if isinstance(step, (ast.Postfix, ast.Unary)) and step.op in ("++", "--"):
             target = step.operand
             if isinstance(target, ast.Ident) and target.name == var:
-                d = 1 if step.op == "++" else -1
-                delta_c = lambda env, _d=d: _d
+                parts = (None, 1 if step.op == "++" else -1)
         elif isinstance(step, ast.Assign) and isinstance(step.target, ast.Ident) and (
             step.target.name == var
         ):
-            if step.op == "+=":
-                inner = fc.compile_expr(step.value)
-                delta_c = lambda env: int(inner(env))
-            elif step.op == "-=":
-                inner = fc.compile_expr(step.value)
-                delta_c = lambda env: -int(inner(env))
+            if step.op in ("+=", "-="):
+                parts = (step.value, 1 if step.op == "+=" else -1)
             elif step.op == "=" and isinstance(step.value, ast.Binary) and (
                 step.value.op in ("+", "-")
                 and isinstance(step.value.left, ast.Ident)
                 and step.value.left.name == var
             ):
-                inner = fc.compile_expr(step.value.right)
-                sign = 1 if step.value.op == "+" else -1
-                delta_c = lambda env, _s=sign: _s * int(inner(env))
-        if delta_c is None:
+                parts = (step.value.right, 1 if step.value.op == "+" else -1)
+        if parts is None:
             return None
-        return (var, start_c, cond_fn, bound_c, loop.body, delta_c)
+        return (var, start, cond.op, cond.right) + parts
 
     # -- host parallel -------------------------------------------------------
     def _compile_host_parallel(self, fc: FunctionCompiler, stmt: ast.Pragma) -> Callable:

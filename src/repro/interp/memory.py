@@ -31,8 +31,8 @@ class Buffer:
     """One allocation in the guest."""
 
     __slots__ = (
-        "cells", "length", "elem_bytes", "is_float", "space", "freed",
-        "shadow", "map_depth", "map_kinds", "label",
+        "cells", "length", "elem_bytes", "is_float", "space", "_freed",
+        "_shadow", "map_depth", "map_kinds", "label", "views",
     )
 
     def __init__(
@@ -49,11 +49,45 @@ class Buffer:
         self.elem_bytes = elem_bytes
         self.is_float = is_float
         self.space = space
-        self.freed = False
-        self.shadow: Optional["Buffer"] = None
+        #: The buffer an in-bounds access touches, indexed 0 for host
+        #: code and 1 for device code (a mapped host buffer's device view
+        #: is its OpenMP shadow); None where the access faults.  Kept in
+        #: step with ``freed`` and ``shadow``, so generated code tests one
+        #: slot and leaves the fault to :meth:`MemoryManager.check_access`.
+        self.views: List[Optional["Buffer"]] = [None, None]
+        self._freed = False
+        self._shadow: Optional["Buffer"] = None
+        self._sync_views()
         self.map_depth = 0
         self.map_kinds: List[str] = []
         self.label = label
+
+    def _sync_views(self) -> None:
+        views = self.views
+        if self._freed:
+            views[0] = views[1] = None
+        elif self.space == "host":
+            views[0], views[1] = self, self._shadow
+        else:
+            views[0], views[1] = None, self
+
+    @property
+    def freed(self) -> bool:
+        return self._freed
+
+    @freed.setter
+    def freed(self, value: bool) -> None:
+        self._freed = value
+        self._sync_views()
+
+    @property
+    def shadow(self) -> Optional["Buffer"]:
+        return self._shadow
+
+    @shadow.setter
+    def shadow(self, value: Optional["Buffer"]) -> None:
+        self._shadow = value
+        self._sync_views()
 
     @property
     def nbytes(self) -> int:
@@ -77,6 +111,15 @@ class Pointer:
 
     def offset_by(self, delta: int) -> "Pointer":
         return Pointer(self.buf, self.off + int(delta))
+
+    # C pointer arithmetic, so generated code can emit a plain ``a + b``
+    # whatever the operands turn out to be at run time.
+    __add__ = __radd__ = offset_by
+
+    def __sub__(self, other):
+        if isinstance(other, Pointer):
+            return self.off - other.off
+        return Pointer(self.buf, self.off - int(other))
 
     def read_string(self) -> str:
         """Interpret the pointed-to cells as a string (argv support)."""
@@ -200,7 +243,7 @@ class MemoryManager:
             self.device_bytes -= buf.nbytes
 
     # ------------------------------------------------------------------
-    # Access checking (hot path — called from compiled closures)
+    # Access checking (generated code inlines the in-bounds case)
     # ------------------------------------------------------------------
     @staticmethod
     def check_access(buf: Buffer, index: int, device: bool) -> Buffer:
@@ -281,6 +324,3 @@ class MemoryManager:
             buf.cells[:] = shadow.cells
             transferred = buf.nbytes
         return transferred
-
-    def live_bytes(self) -> int:
-        return self.host_bytes + self.device_bytes
